@@ -1,6 +1,6 @@
 //! [`RaSqlContext`] — the public entry point of the engine.
 
-use crate::cache::{CachedQuery, CsrCache, ResultCache};
+use crate::cache::{plan_cache_key, CachedQuery, CsrCache, PlanKey, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::EvalContext;
@@ -12,8 +12,8 @@ use rasql_exec::{
 };
 use rasql_parser::{parse_statements, Statement};
 use rasql_plan::{
-    analyze_statement, optimize, optimize_spec, AnalyzedQuery, AnalyzedStatement, LogicalPlan,
-    ViewCatalog,
+    analyze_statement, optimize, optimize_spec, AnalyzedQuery, AnalyzedStatement, FixpointSpec,
+    LogicalPlan, ViewCatalog,
 };
 use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
@@ -836,8 +836,10 @@ impl RaSqlContext {
         if traced || self.result_cache.disabled() {
             return self.execute_query(q, traced, parent);
         }
-        let key = self.query_cache_key(&q, &deps);
-        if let Some(hit) = self.result_cache.get(&key) {
+        let Some(key) = query_cache_key(&self.catalog, &q) else {
+            return self.execute_query(q, false, parent);
+        };
+        if let Some(hit) = self.result_cache.get(&key.key) {
             Metrics::add(&self.cluster.metrics.cache_hits, 1);
             return Ok(QueryResult {
                 relation: hit.relation,
@@ -851,27 +853,14 @@ impl RaSqlContext {
         }
         let result = self.execute_query(q, false, parent)?;
         self.result_cache.put(
-            key,
-            deps,
+            key.key,
+            key.deps,
             CachedQuery {
                 relation: result.relation.clone(),
                 iterations: result.stats.iterations.clone(),
             },
         );
         Ok(result)
-    }
-
-    /// The result-cache key: the optimized plan text (cliques + final plan)
-    /// plus the version fingerprint of every base table the query reads.
-    fn query_cache_key(&self, q: &AnalyzedQuery, deps: &[String]) -> String {
-        let mut key = String::new();
-        for clique in &q.cliques {
-            key.push_str(&optimize_spec(clique.clone()).display());
-        }
-        key.push_str(&optimize(q.final_plan.clone()).display_indent());
-        key.push('|');
-        key.push_str(&crate::cache::version_fingerprint(&self.catalog, deps));
-        key
     }
 
     /// Run an analyzed query; `traced` additionally collects a [`QueryTrace`].
@@ -1664,6 +1653,16 @@ impl RaSqlContext {
     pub(crate) fn planner_snapshot(&self) -> ViewCatalog {
         self.planner_catalog.lock().clone()
     }
+}
+
+/// The result-cache key of an analyzed query: its optimized cliques and
+/// final plan, literal-exact, plus the version fingerprint of every base
+/// table they read. The final plan reads the query's own clique views, which
+/// the key defines; `None` (run uncached) only if a plan reads any other view.
+fn query_cache_key(catalog: &Catalog, q: &AnalyzedQuery) -> Option<PlanKey> {
+    let cliques: Vec<FixpointSpec> = q.cliques.iter().cloned().map(optimize_spec).collect();
+    let final_plan = optimize(q.final_plan.clone());
+    plan_cache_key(catalog, &cliques, &[&final_plan], "")
 }
 
 /// The empty result `CREATE VIEW` statements return.

@@ -14,6 +14,7 @@
 //! stamp *c*, the *old* snapshot of a relation (needed by the non-linear
 //! semi-naive term expansion) is "state before stamp *c* was merged".
 
+use crate::cache::{plan_cache_key, CachedCsr};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::EvalContext;
@@ -391,15 +392,9 @@ impl<'a> FixpointExecutor<'a> {
             .map(|_| (0..p).map(|_| Vec::new()).collect())
             .collect();
         for (vi, v) in spec.views.iter().enumerate() {
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            for plan in &v.base {
-                let rel = self.eval.evaluate(plan)?;
-                for row in rel.into_rows() {
-                    if seen.insert(row.clone()) {
-                        let part = views[vi].partition_of(&row, p);
-                        base_buckets[vi][part].push(row);
-                    }
-                }
+            for row in self.eval_base_union(&v.base)? {
+                let part = views[vi].partition_of(&row, p);
+                base_buckets[vi][part].push(row);
             }
         }
 
@@ -525,15 +520,9 @@ impl<'a> FixpointExecutor<'a> {
         // re-merge as no-ops; inserted base facts become round-1 deltas.
         let mut base_buckets: Buckets = empty_buckets(views.len(), p);
         for (vi, v) in spec.views.iter().enumerate() {
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            for plan in &v.base {
-                let rel = self.eval.evaluate(plan)?;
-                for row in rel.into_rows() {
-                    if seen.insert(row.clone()) {
-                        let part = views[vi].partition_of(&row, p);
-                        base_buckets[vi][part].push(row);
-                    }
-                }
+            for row in self.eval_base_union(&v.base)? {
+                let part = views[vi].partition_of(&row, p);
+                base_buckets[vi][part].push(row);
             }
         }
 
@@ -853,6 +842,22 @@ impl<'a> FixpointExecutor<'a> {
             }
         }
         Ok(wb.steps[&key].layers.clone())
+    }
+
+    /// Evaluate a view's base branches. CTE branches combine by set UNION,
+    /// so the rows come back deduplicated, in first-seen order.
+    fn eval_base_union(&self, plans: &[LogicalPlan]) -> Result<Vec<Row>, EngineError> {
+        let mut rows = Vec::new();
+        for plan in plans {
+            let more = self.eval.evaluate(plan)?.into_rows();
+            if rows.is_empty() {
+                rows = more;
+            } else {
+                rows.extend(more);
+            }
+        }
+        dedup_rows(&mut rows);
+        Ok(rows)
     }
 
     // ----------------------------------------------------------------
@@ -1916,83 +1921,67 @@ impl<'a> FixpointExecutor<'a> {
         let p = self.config.partitions;
         let v = &spec.views[0];
 
-        // Base branches combine by set UNION: dedup exactly like `run`.
-        let mut base_rows: Vec<Row> = Vec::new();
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        for plan in &v.base {
-            let rel = self.eval.evaluate(plan)?;
-            for row in rel.into_rows() {
-                if seen.insert(row.clone()) {
-                    base_rows.push(row);
-                }
-            }
-        }
-        // Every base vertex becomes a CSR seed so it owns a dense id even
-        // when it has no outgoing edges.
-        let mut extras: Vec<i64> = Vec::with_capacity(base_rows.len());
-        for row in &base_rows {
-            match row.get(kp.key_col) {
-                Value::Int(k) => extras.push(*k),
-                _ => return Ok(None),
-            }
-        }
-        // Version-keyed CSR cache: a repeated kernel query against unchanged
-        // edge tables skips both the edge scan and the CSR construction. The
-        // key folds in the seed-vertex list, since CSR dense-id assignment
-        // depends on it.
-        let mut dep_tables: Vec<String> = Vec::new();
-        kp.build.referenced_tables(&mut dep_tables);
-        let cache_key = self.eval.csr_cache.map(|_| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            extras.hash(&mut h);
-            format!(
-                "{}|{}|p{p}|s{}d{}w{:?}|x{:016x}",
-                kp.build.display_indent(),
-                crate::cache::version_fingerprint(self.eval.catalog, &dep_tables),
-                kp.src_col,
-                kp.dst_col,
-                kp.weight,
-                h.finish()
-            )
+        // Version-keyed set-up cache: a repeated kernel query against
+        // unchanged tables skips the base scan, the seed dedup, the edge scan
+        // and the CSR construction. Plans reading a lower clique's view get
+        // no key and always build fresh.
+        let cache = self.eval.csr_cache.and_then(|cache| {
+            let mut plans: Vec<&LogicalPlan> = v.base.iter().collect();
+            plans.push(&kp.build);
+            let params = format!(
+                "p{p}|k{}s{}d{}w{:?}",
+                kp.key_col, kp.src_col, kp.dst_col, kp.weight
+            );
+            plan_cache_key(self.eval.catalog, &[], &plans, &params).map(|key| (cache, key))
         });
-        let csr: Arc<CsrGraph> = match cache_key
-            .as_ref()
-            .and_then(|k| self.eval.csr_cache.and_then(|c| c.get(k)))
-        {
+        let setup = match cache.as_ref().and_then(|(c, key)| c.get(&key.key)) {
             Some(hit) => {
                 Metrics::add(&self.cluster.metrics.cache_hits, 1);
                 hit
             }
             None => {
+                let seeds = self.eval_base_union(&v.base)?;
+                // Every base vertex becomes a CSR seed so it owns a dense id
+                // even when it has no outgoing edges.
+                let mut extras: Vec<i64> = Vec::with_capacity(seeds.len());
+                for row in &seeds {
+                    match row.get(kp.key_col) {
+                        Value::Int(k) => extras.push(*k),
+                        _ => return Ok(None),
+                    }
+                }
                 let edges = self.eval.evaluate(&kp.build)?;
-                let Some(csr) =
+                let Some(graph) =
                     CsrGraph::build(edges.rows(), kp.src_col, kp.dst_col, kp.weight, extras, p)
                 else {
                     return Ok(None);
                 };
-                let csr = Arc::new(csr);
-                if let (Some(key), Some(cache)) = (cache_key, self.eval.csr_cache) {
-                    cache.put(key, dep_tables, Arc::clone(&csr));
+                let setup = Arc::new(CachedCsr {
+                    graph: Arc::new(graph),
+                    seeds,
+                });
+                if let Some((c, key)) = cache {
+                    c.put(key.key, key.deps, Arc::clone(&setup));
                 }
-                csr
+                setup
             }
         };
+        let (csr, base_rows) = (&setup.graph, &setup.seeds);
         match (kp.op, kp.scalar) {
-            (KernelOp::Set, _) => self.run_kernel_set(v, kp, &csr, &base_rows),
+            (KernelOp::Set, _) => self.run_kernel_set(v, kp, csr, base_rows),
             (KernelOp::Min, KernelScalar::I64) => {
-                self.run_kernel_agg::<i64, MinOp>(v, kp, &csr, &base_rows)
+                self.run_kernel_agg::<i64, MinOp>(v, kp, csr, base_rows)
             }
             (KernelOp::Min, KernelScalar::F64) => {
-                self.run_kernel_agg::<f64, MinOp>(v, kp, &csr, &base_rows)
+                self.run_kernel_agg::<f64, MinOp>(v, kp, csr, base_rows)
             }
             (KernelOp::Max, KernelScalar::I64) => {
-                self.run_kernel_agg::<i64, MaxOp>(v, kp, &csr, &base_rows)
+                self.run_kernel_agg::<i64, MaxOp>(v, kp, csr, base_rows)
             }
             (KernelOp::Max, KernelScalar::F64) => {
-                self.run_kernel_agg::<f64, MaxOp>(v, kp, &csr, &base_rows)
+                self.run_kernel_agg::<f64, MaxOp>(v, kp, csr, base_rows)
             }
-            (KernelOp::Sum, _) => self.run_kernel_agg::<i64, SumOp>(v, kp, &csr, &base_rows),
+            (KernelOp::Sum, _) => self.run_kernel_agg::<i64, SumOp>(v, kp, csr, base_rows),
         }
     }
 
@@ -2679,6 +2668,20 @@ fn contribution_to_schema_row(row: &Row, key_cols: &[usize], agg_cols: &[usize])
     Row::new(vals)
 }
 
+/// Drop every row equal to an earlier one, in place: set-UNION semantics in
+/// first-seen order. One hash probe per row, and no row is cloned.
+fn dedup_rows(rows: &mut Vec<Row>) {
+    let keep: Vec<bool> = {
+        let mut seen: FxHashSet<&Row> = FxHashSet::default();
+        rows.iter().map(|r| seen.insert(r)).collect()
+    };
+    let mut i = 0;
+    rows.retain(|_| {
+        i += 1;
+        keep[i - 1]
+    });
+}
+
 fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[usize]) -> Row {
     let arity = key_cols.len() + agg_cols.len();
     let mut vals = vec![Value::Null; arity];
@@ -2694,28 +2697,15 @@ fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[u
 /// Map-side partial aggregation / dedup before the shuffle (Algorithm 5).
 /// Input rows are keys-then-aggs; output rows are schema-shaped.
 fn partial_aggregate(target: &ViewRt, produced: Vec<Row>) -> Vec<Row> {
-    if target.is_set() {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        let mut out = Vec::with_capacity(produced.len());
-        for r in produced {
-            let row = contribution_to_schema_row(&r, &target.spec.key_cols, &target.agg_cols);
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
-        }
-        return out;
-    }
-    // Distinct-tuple columns must be deduplicated globally at the reducer;
-    // locally we may only drop *identical* tuples (idempotent), not merge.
-    if target.modes.contains(&CountMode::DistinctTuple) {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        let mut out = Vec::with_capacity(produced.len());
-        for r in produced {
-            let row = contribution_to_schema_row(&r, &target.spec.key_cols, &target.agg_cols);
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
-        }
+    // Set views dedup; distinct-tuple columns must be deduplicated globally
+    // at the reducer, so locally we may only drop *identical* tuples
+    // (idempotent), not merge.
+    if target.is_set() || target.modes.contains(&CountMode::DistinctTuple) {
+        let mut out: Vec<Row> = produced
+            .into_iter()
+            .map(|r| contribution_to_schema_row(&r, &target.spec.key_cols, &target.agg_cols))
+            .collect();
+        dedup_rows(&mut out);
         return out;
     }
     let k = target.spec.key_cols.len();
