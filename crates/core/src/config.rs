@@ -50,7 +50,10 @@ pub struct EngineConfig {
     /// verdict allow it — the whole-stage-codegen fast path for the inner
     /// loop (§7.3). Any unprovable shape falls back to the interpreter.
     pub specialized_kernels: bool,
-    /// Iteration cap; exceeded ⇒ [`crate::EngineError::NonTermination`].
+    /// Iteration cap: the most fixpoint rounds that may produce a delta (the
+    /// empty closing round that detects the fixpoint does not count). A
+    /// clique still producing deltas after that many rounds fails with
+    /// [`crate::EngineError::NonTermination`].
     pub max_iterations: u32,
     /// Simulated per-stage scheduler latency in microseconds (see
     /// `rasql_exec::cluster::ClusterConfig::stage_latency`). A property of
@@ -66,8 +69,11 @@ pub struct EngineConfig {
     /// Retry budget for injected task failures (attempts = 1 + retries).
     pub max_task_retries: u32,
     /// Checkpoint the fixpoint's per-partition state every K rounds (plus an
-    /// initial round-0 capture); 0 disables checkpointing, so an
-    /// unrecoverable stage failure fails the query.
+    /// initial round-0 capture). Any K > 0 also turns on recovery from a
+    /// lost fixpoint stage in every mode: semi-naive restores its last
+    /// checkpoint, naive reruns the round, and decomposed evaluation and the
+    /// specialized kernels reset their state and rerun. 0 disables both, so
+    /// an unrecoverable stage failure fails the query.
     pub checkpoint_interval: u32,
     /// Per-query memory budget in bytes; 0 (the default) is unlimited. Over
     /// budget, shuffle gather buffers and fixpoint state spill to disk; an
