@@ -1,6 +1,7 @@
 //! Row: a fixed-width tuple of [`Value`]s.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 
@@ -76,6 +77,16 @@ impl From<Vec<Value>> for Row {
     }
 }
 
+/// A row hashes and compares exactly like its value slice, so hash maps and
+/// sets keyed by `Row` can be probed with a borrowed `&[Value]` before any
+/// row is allocated.
+impl Borrow<[Value]> for Row {
+    #[inline]
+    fn borrow(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl Index<usize> for Row {
     type Output = Value;
     #[inline]
@@ -126,6 +137,14 @@ mod tests {
         let r = int_row(&[10, 20]);
         assert_eq!(r[1], Value::Int(20));
         assert_eq!(r.get(0), &Value::Int(10));
+    }
+
+    #[test]
+    fn borrowed_slice_probes_a_row_set() {
+        use std::collections::HashSet;
+        let set: HashSet<Row> = [int_row(&[1, 2]), int_row(&[3])].into_iter().collect();
+        assert!(set.contains(int_row(&[1, 2]).values()));
+        assert!(!set.contains(&[Value::Int(2), Value::Int(1)][..]));
     }
 
     #[test]

@@ -100,7 +100,9 @@ impl<'a> EvalContext<'a> {
                 let input = self.eval_node(input, &format!("{path}.0"))?;
                 let exprs = exprs.clone();
                 let project: rasql_exec::pipeline::MapFn =
-                    Arc::new(move |r: &Row| Row::new(exprs.iter().map(|e| e.eval(r)).collect()));
+                    Arc::new(move |r: &Row, out: &mut Vec<Value>| {
+                        out.extend(exprs.iter().map(|e| e.eval(r)));
+                    });
                 self.run_pipeline(&input, Pipeline::with_project(vec![], project), "project")
             }
             LogicalPlan::Filter { input, predicate } => {

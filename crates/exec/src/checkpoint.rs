@@ -139,6 +139,7 @@ pub fn decode_agg_state(mut buf: impl Buf) -> Result<AggState, StorageError> {
                 prev,
                 round,
                 created,
+                batch: 0,
             },
         );
     }
@@ -299,7 +300,7 @@ mod tests {
         assert_eq!(back.get(&vals(&[1])).unwrap(), &vals(&[3, 12])[..]);
         // Old-snapshot semantics survive (prev totals + rounds).
         assert_eq!(
-            back.get_before(&vals(&[1]), 2).unwrap().as_ref(),
+            back.get_before(&vals(&[1]), 2).unwrap(),
             &vals(&[5, 10])[..]
         );
         // The contributor dedup set survives: same tuple is still ignored.

@@ -73,7 +73,7 @@ pub use kernel::{
     SumOp,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pipeline::{run_fused, run_unfused, Pipeline, PipelineStep};
+pub use pipeline::{run_fused, run_fused_into, run_unfused, Pipeline, PipelineStep};
 pub use spill::SpillDir;
 pub use state::{AggState, MergeOutcome, MonotoneOp, SetState};
 pub use trace::{

@@ -21,37 +21,36 @@ pub enum MonotoneOp {
 }
 
 impl MonotoneOp {
-    /// Merge `new` into `cur`; returns the increment actually applied for
-    /// `Sum` and whether the value improved for `Min`/`Max`.
+    /// Whether merging `new` into `cur` would change it.
+    #[inline]
+    pub fn changes(&self, cur: &Value, new: &Value) -> bool {
+        match self {
+            MonotoneOp::Min => new < cur,
+            MonotoneOp::Max => new > cur,
+            // A zero increment is no change — propagating it would keep the
+            // fixpoint spinning forever.
+            MonotoneOp::Sum => !matches!(new.as_f64(), Some(x) if x == 0.0),
+        }
+    }
+
+    /// Merge `new` into `cur`; reports whether the value changed.
     #[inline]
     pub fn merge(&self, cur: &mut Value, new: &Value) -> MergeOutcome {
+        if !self.changes(cur, new) {
+            return MergeOutcome::Unchanged;
+        }
+        *cur = match self {
+            MonotoneOp::Min | MonotoneOp::Max => new.clone(),
+            MonotoneOp::Sum => cur.add(new),
+        };
+        MergeOutcome::Improved
+    }
+
+    /// The value an old snapshot reads for a group that did not exist yet.
+    fn identity(&self) -> Value {
         match self {
-            MonotoneOp::Min => {
-                if new < cur {
-                    *cur = new.clone();
-                    MergeOutcome::Improved
-                } else {
-                    MergeOutcome::Unchanged
-                }
-            }
-            MonotoneOp::Max => {
-                if new > cur {
-                    *cur = new.clone();
-                    MergeOutcome::Improved
-                } else {
-                    MergeOutcome::Unchanged
-                }
-            }
-            MonotoneOp::Sum => {
-                // A zero increment is no change — propagating it would keep
-                // the fixpoint spinning forever.
-                if matches!(new.as_f64(), Some(x) if x == 0.0) {
-                    return MergeOutcome::Unchanged;
-                }
-                let next = cur.add(new);
-                *cur = next;
-                MergeOutcome::Improved
-            }
+            MonotoneOp::Sum => Value::Int(0),
+            MonotoneOp::Min | MonotoneOp::Max => Value::Null,
         }
     }
 }
@@ -89,6 +88,18 @@ impl SetState {
                 true
             }
         }
+    }
+
+    /// Insert a copy of `values` at `round` unless the row is already held;
+    /// true if it is new. Probes before it clones, so a duplicate costs no
+    /// allocation.
+    #[inline]
+    pub fn insert_values(&mut self, values: &[Value], round: u32) -> bool {
+        if self.rows.contains_key(values) {
+            return false;
+        }
+        self.rows.insert(Row::new(values.to_vec()), round);
+        true
     }
 
     /// Membership including the current round.
@@ -147,36 +158,58 @@ impl SetState {
 pub struct AggEntry {
     /// Current aggregate values (one per aggregate column).
     pub values: Box<[Value]>,
-    /// Values before the current round's merges (for old snapshots).
+    /// Values before the round of the last change (for old snapshots).
     pub prev: Box<[Value]>,
     /// Round of the last change.
     pub round: u32,
     /// Round in which the group first appeared.
     pub created: u32,
+    /// Merge batch of the last change (see [`AggState::begin_batch`]); 0
+    /// for a group restored from a checkpoint and not changed since.
+    pub(crate) batch: u32,
 }
 
 /// The monotone aggregate map: group key → aggregate values, with previous
 /// values kept for old-snapshot reads, plus an optional contributor set for
 /// distinct-tuple counting (Party Attendance-style `count()`).
-#[derive(Debug, Default)]
+///
+/// The merge contract: [`AggState::merge`] looks groups up by the borrowed
+/// key and allocates only for a new group (its key, totals and identity
+/// previous totals). The previous totals are snapshotted only when a value
+/// actually changes in a round later than the group's last change. A merge
+/// reports whether it changed the group and whether that was the group's
+/// first change in the current merge batch, so a caller lists every changed
+/// group exactly once without a set of keys; increments are derived on
+/// demand from [`AggState::get`] and [`AggState::get_before`].
+#[derive(Debug)]
 pub struct AggState {
     groups: FxHashMap<Box<[Value]>, AggEntry>,
     /// Distinct contributing tuples (key ++ contribution) already counted.
     contributors: FxHashSet<Box<[Value]>>,
+    /// The current merge batch. Starts at 1, so restored groups (batch 0)
+    /// report their first change even before any batch is begun.
+    batch: u32,
+}
+
+impl Default for AggState {
+    fn default() -> Self {
+        AggState {
+            groups: FxHashMap::default(),
+            contributors: FxHashSet::default(),
+            batch: 1,
+        }
+    }
 }
 
 /// The result of merging one contribution into an [`AggState`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggMergeResult {
     /// Nothing changed; the tuple is discarded.
     Unchanged,
-    /// The group changed; carries the new totals and per-column increments
-    /// (increment = new total − old total for Sum; = new value for Min/Max).
+    /// The group changed (or was created).
     Changed {
-        /// New totals after the merge.
-        totals: Box<[Value]>,
-        /// Per-column increments to propagate to linear sum consumers.
-        increments: Box<[Value]>,
+        /// This is the group's first change in the current merge batch.
+        first_in_batch: bool,
     },
 }
 
@@ -196,6 +229,14 @@ impl AggState {
         self.groups.is_empty()
     }
 
+    /// Start a new merge batch: the next change of every group reports
+    /// `first_in_batch`. Batches are independent of round stamps — two
+    /// batches merged at the same stamp (a warm preload and a base merge,
+    /// both at stamp 0) each report their own changes.
+    pub fn begin_batch(&mut self) {
+        self.batch += 1;
+    }
+
     /// Merge a contribution `(key, vals)` at `round` with per-column ops.
     ///
     /// `dedup_tuple` — when `Some(tuple)`, the contribution is only applied if
@@ -210,72 +251,45 @@ impl AggState {
     ) -> AggMergeResult {
         debug_assert_eq!(vals.len(), ops.len());
         if let Some(t) = dedup_tuple {
-            let boxed: Box<[Value]> = t.to_vec().into_boxed_slice();
-            if !self.contributors.insert(boxed) {
+            if self.contributors.contains(t) {
                 return AggMergeResult::Unchanged;
             }
+            self.contributors.insert(t.into());
         }
-        use std::collections::hash_map::Entry;
-        let key_boxed: Box<[Value]> = key.to_vec().into_boxed_slice();
-        match self.groups.entry(key_boxed) {
-            Entry::Vacant(slot) => {
-                // First contribution: totals = the contribution itself; the
-                // "previous" totals are identity values so old snapshots see
-                // nothing for this group.
-                let totals: Box<[Value]> = vals.to_vec().into_boxed_slice();
-                let prev: Box<[Value]> = ops
-                    .iter()
-                    .map(|op| match op {
-                        MonotoneOp::Sum => Value::Int(0),
-                        _ => Value::Null,
-                    })
-                    .collect();
-                slot.insert(AggEntry {
-                    values: totals.clone(),
-                    prev,
+        let batch = self.batch;
+        let Some(entry) = self.groups.get_mut(key) else {
+            // First contribution: totals = the contribution itself; the
+            // "previous" totals are identity values so old snapshots see
+            // nothing for this group.
+            self.groups.insert(
+                key.into(),
+                AggEntry {
+                    values: vals.into(),
+                    prev: ops.iter().map(MonotoneOp::identity).collect(),
                     round,
                     created: round,
-                });
-                AggMergeResult::Changed {
-                    increments: totals.clone(),
-                    totals,
-                }
-            }
-            Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                if entry.round < round {
-                    // First touch this round: snapshot previous totals.
-                    entry.prev = entry.values.clone();
-                }
-                let mut changed = false;
-                let mut increments: Vec<Value> = Vec::with_capacity(vals.len());
-                for ((cur, new), op) in entry.values.iter_mut().zip(vals).zip(ops) {
-                    let before = cur.clone();
-                    match op.merge(cur, new) {
-                        MergeOutcome::Improved => {
-                            changed = true;
-                            increments.push(match op {
-                                MonotoneOp::Sum => cur.sub(&before),
-                                _ => cur.clone(),
-                            });
-                        }
-                        MergeOutcome::Unchanged => increments.push(match op {
-                            MonotoneOp::Sum => Value::Int(0),
-                            _ => cur.clone(),
-                        }),
-                    }
-                }
-                if changed {
-                    entry.round = round;
-                    AggMergeResult::Changed {
-                        totals: entry.values.clone(),
-                        increments: increments.into_boxed_slice(),
-                    }
-                } else {
-                    AggMergeResult::Unchanged
-                }
-            }
+                    batch,
+                },
+            );
+            return AggMergeResult::Changed {
+                first_in_batch: true,
+            };
+        };
+        let mut merges = entry.values.iter().zip(vals).zip(ops);
+        if !merges.any(|((cur, new), op)| op.changes(cur, new)) {
+            return AggMergeResult::Unchanged;
         }
+        if entry.round < round {
+            // First change this round: snapshot the previous totals.
+            entry.prev.clone_from_slice(&entry.values);
+        }
+        entry.round = round;
+        for ((cur, new), op) in entry.values.iter_mut().zip(vals).zip(ops) {
+            op.merge(cur, new);
+        }
+        let first_in_batch = entry.batch != batch;
+        entry.batch = batch;
+        AggMergeResult::Changed { first_in_batch }
     }
 
     /// Current totals of a group.
@@ -285,16 +299,12 @@ impl AggState {
 
     /// Totals of a group as of the snapshot before `round`; `None` if the
     /// group did not exist then.
-    pub fn get_before(&self, key: &[Value], round: u32) -> Option<Box<[Value]>> {
+    pub fn get_before(&self, key: &[Value], round: u32) -> Option<&[Value]> {
         let e = self.groups.get(key)?;
         if e.created >= round {
             return None;
         }
-        if e.round < round {
-            Some(e.values.clone())
-        } else {
-            Some(e.prev.clone())
-        }
+        Some(if e.round < round { &e.values } else { &e.prev })
     }
 
     /// Iterate `(key, entry)` pairs.
@@ -359,20 +369,22 @@ mod tests {
     fn min_merge_keeps_best_and_reports_improvement() {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Min];
-        match st.merge(&vals(&[7]), &vals(&[10]), &ops, 1, None) {
-            AggMergeResult::Changed { totals, .. } => assert_eq!(totals[0], Value::Int(10)),
-            r => panic!("{r:?}"),
-        }
+        assert!(matches!(
+            st.merge(&vals(&[7]), &vals(&[10]), &ops, 1, None),
+            AggMergeResult::Changed { .. }
+        ));
+        assert_eq!(st.get(&vals(&[7])).unwrap(), &vals(&[10])[..]);
         // Worse value discarded.
         assert_eq!(
             st.merge(&vals(&[7]), &vals(&[12]), &ops, 2, None),
             AggMergeResult::Unchanged
         );
         // Better value improves.
-        match st.merge(&vals(&[7]), &vals(&[3]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, .. } => assert_eq!(totals[0], Value::Int(3)),
-            r => panic!("{r:?}"),
-        }
+        assert!(matches!(
+            st.merge(&vals(&[7]), &vals(&[3]), &ops, 2, None),
+            AggMergeResult::Changed { .. }
+        ));
+        assert_eq!(st.get(&vals(&[7])).unwrap(), &vals(&[3])[..]);
     }
 
     #[test]
@@ -380,13 +392,15 @@ mod tests {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Sum];
         st.merge(&vals(&[1]), &vals(&[5]), &ops, 1, None);
-        match st.merge(&vals(&[1]), &vals(&[3]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, increments } => {
-                assert_eq!(totals[0], Value::Int(8));
-                assert_eq!(increments[0], Value::Int(3));
-            }
-            r => panic!("{r:?}"),
-        }
+        assert!(matches!(
+            st.merge(&vals(&[1]), &vals(&[3]), &ops, 2, None),
+            AggMergeResult::Changed { .. }
+        ));
+        // The increment is the total less the total before the round.
+        let total = st.get(&vals(&[1])).unwrap()[0].clone();
+        let before = st.get_before(&vals(&[1]), 2).unwrap()[0].clone();
+        assert_eq!(total, Value::Int(8));
+        assert_eq!(total.sub(&before), Value::Int(3));
     }
 
     #[test]
@@ -431,11 +445,123 @@ mod tests {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Min, MonotoneOp::Max];
         st.merge(&vals(&[1]), &vals(&[5, 5]), &ops, 1, None);
-        match st.merge(&vals(&[1]), &vals(&[3, 9]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, .. } => {
-                assert_eq!(totals.as_ref(), &vals(&[3, 9])[..]);
-            }
-            r => panic!("{r:?}"),
+        assert!(matches!(
+            st.merge(&vals(&[1]), &vals(&[3, 9]), &ops, 2, None),
+            AggMergeResult::Changed { .. }
+        ));
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[3, 9])[..]);
+    }
+
+    /// `(first_in_batch)` of a merge that changed the group, `None` if it
+    /// did not.
+    fn first(r: AggMergeResult) -> Option<bool> {
+        match r {
+            AggMergeResult::Changed { first_in_batch } => Some(first_in_batch),
+            AggMergeResult::Unchanged => None,
         }
+    }
+
+    #[test]
+    fn group_changed_several_times_in_a_batch_is_reported_once() {
+        let mut st = AggState::new();
+        let ops = [MonotoneOp::Sum];
+        st.begin_batch();
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[5]), &ops, 1, None)),
+            Some(true)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[2]), &ops, 1, None)),
+            Some(false)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[2]), &vals(&[1]), &ops, 1, None)),
+            Some(true)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[0]), &ops, 1, None)),
+            None
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[4]), &ops, 1, None)),
+            Some(false)
+        );
+        // The next batch (a later round) reports the group afresh.
+        st.begin_batch();
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, None)),
+            Some(true)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, None)),
+            Some(false)
+        );
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[13])[..]);
+    }
+
+    #[test]
+    fn batches_at_the_same_stamp_each_report_their_changes() {
+        // A resumed fixpoint preloads warm state at stamp 0, then merges the
+        // re-evaluated base at stamp 0 too: the second batch's changes must
+        // be reported even though the round stamp did not move.
+        let mut st = AggState::new();
+        let ops = [MonotoneOp::Min];
+        st.begin_batch();
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[10]), &ops, 0, None)),
+            Some(true)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[2]), &vals(&[10]), &ops, 0, None)),
+            Some(true)
+        );
+        st.begin_batch();
+        // Re-merging a converged value is a no-op...
+        assert_eq!(
+            first(st.merge(&vals(&[2]), &vals(&[10]), &ops, 0, None)),
+            None
+        );
+        // ...but an improvement at the same stamp is this batch's change.
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[4]), &ops, 0, None)),
+            Some(true)
+        );
+        assert_eq!(
+            first(st.merge(&vals(&[1]), &vals(&[3]), &ops, 0, None)),
+            Some(false)
+        );
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[3])[..]);
+    }
+
+    #[test]
+    fn unchanged_touch_keeps_the_old_snapshot() {
+        let mut st = AggState::new();
+        let ops = [MonotoneOp::Min];
+        st.merge(&vals(&[1]), &vals(&[10]), &ops, 1, None);
+        st.merge(&vals(&[1]), &vals(&[7]), &ops, 3, None);
+        assert_eq!(st.get_before(&vals(&[1]), 3).unwrap(), &vals(&[10])[..]);
+        // Round 5 touches the group without changing it: every snapshot
+        // reads as before.
+        assert_eq!(
+            st.merge(&vals(&[1]), &vals(&[9]), &ops, 5, None),
+            AggMergeResult::Unchanged
+        );
+        assert_eq!(st.get_before(&vals(&[1]), 3).unwrap(), &vals(&[10])[..]);
+        assert_eq!(st.get_before(&vals(&[1]), 5).unwrap(), &vals(&[7])[..]);
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[7])[..]);
+        // A real change at round 5 snapshots the value it replaces.
+        st.merge(&vals(&[1]), &vals(&[2]), &ops, 5, None);
+        assert_eq!(st.get_before(&vals(&[1]), 5).unwrap(), &vals(&[7])[..]);
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[2])[..]);
+    }
+
+    #[test]
+    fn set_insert_values_probes_before_it_clones() {
+        let mut s = SetState::new();
+        assert!(s.insert_values(&vals(&[1, 2]), 1));
+        assert!(!s.insert_values(&vals(&[1, 2]), 2));
+        assert!(!s.insert(rasql_storage::row::int_row(&[1, 2]), 3));
+        assert!(s.contained_before(&rasql_storage::row::int_row(&[1, 2]), 2));
+        assert_eq!(s.len(), 1);
     }
 }

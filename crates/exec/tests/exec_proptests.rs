@@ -61,11 +61,14 @@ proptest! {
             })),
             PipelineStep::HashJoin {
                 table,
-                key: Arc::new(|r: &Row| vec![r[1].clone()]),
+                key: Arc::new(|r: &Row, k: &mut Vec<Value>| k.push(r[1].clone())),
             },
             PipelineStep::Filter(Arc::new(|r: &Row| r[3].as_int().unwrap() % 2 == 0)),
         ];
-        let pipeline = Pipeline::with_project(steps, Arc::new(|r: &Row| r.project(&[0, 3])));
+        let pipeline = Pipeline::with_project(
+            steps,
+            Arc::new(|r: &Row, out: &mut Vec<Value>| out.extend([r[0].clone(), r[3].clone()])),
+        );
         let mut a = run_fused(&input_rows, &pipeline);
         let mut b = run_unfused(&input_rows, &pipeline);
         a.sort();
@@ -221,16 +224,25 @@ proptest! {
 
 #[test]
 fn agg_state_increments_sum_to_total() {
-    // The increments reported across rounds must sum to the final total.
+    // The increments a round's merges report (total after the round less
+    // the total before it, read from `get` / `get_before`) must sum to the
+    // final total.
     let ops = [MonotoneOp::Sum];
+    let key = [Value::Int(1)];
     let mut st = AggState::new();
     let mut sum_of_increments = 0i64;
     for round in 0..20u32 {
         let v = (round as i64 % 5) + 1;
-        if let rasql_exec::state::AggMergeResult::Changed { increments, .. } =
-            st.merge(&[Value::Int(1)], &[Value::Int(v)], &ops, round, None)
+        st.begin_batch();
+        if let rasql_exec::state::AggMergeResult::Changed { .. } =
+            st.merge(&key, &[Value::Int(v)], &ops, round, None)
         {
-            sum_of_increments += increments[0].as_int().unwrap();
+            let total = &st.get(&key).unwrap()[0];
+            let increment = match st.get_before(&key, round) {
+                Some(before) => total.sub(&before[0]),
+                None => total.clone(),
+            };
+            sum_of_increments += increment.as_int().unwrap();
         }
     }
     assert_eq!(
